@@ -18,7 +18,7 @@ SIM_PROFILE ?= mixed
 # router (ISSUE 10); the convergence oracle is shard-count-invariant.
 SIM_SHARDS ?= 0
 
-.PHONY: all build test race bench bench-json bench5 bench5-scale bench-obs fmt fmt-fix vet lint ci sim sim-sched durability fuzz-wal
+.PHONY: all build test race bench bench-json bench5 bench5-scale bench-obs bench-allocs fmt fmt-fix vet lint ci sim sim-sched durability fuzz-wal
 
 all: build
 
@@ -66,6 +66,13 @@ bench5-scale:
 bench-obs:
 	$(GO) test -run TestObsDisabledZeroAlloc ./internal/core
 	$(GO) test -run '^$$' -bench BenchmarkObsOverhead -benchmem ./internal/core
+
+# Normal-path allocation gate: committed allocs/op ceilings for one KV put
+# through a Controller, without and with a WAL, plus a repair-log Append
+# with no change sink that must not encode its record. Counts are
+# deterministic and gate; timings are never gated.
+bench-allocs:
+	$(GO) test -count=1 -run TestNormalPathAllocCeiling -v ./internal/core
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -120,4 +127,4 @@ lint:
 		echo "lint: govulncheck not installed, skipping (CI runs it)"; \
 	fi
 
-ci: fmt vet lint build test race bench bench-obs
+ci: fmt vet lint build test race bench bench-obs bench-allocs

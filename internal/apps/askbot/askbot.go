@@ -301,11 +301,12 @@ func atoi(s string) int {
 	return n
 }
 
+// htmlEscaper is built once: a Replacer is safe for concurrent use, and
+// building one per call dominated page rendering.
+var htmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
 // escape performs minimal HTML escaping for rendered pages.
-func escape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+func escape(s string) string { return htmlEscaper.Replace(s) }
 
 func (a *App) sessionUser(c *web.Ctx) (string, bool) {
 	s, ok := c.DB.Get(ModelSession, c.Form("session"))

@@ -532,6 +532,12 @@ func (c *Controller) handleNormal(from string, req wire.Request) wire.Response {
 
 // outboundNormal sends a live outgoing call with Aire headers attached
 // (§3.1) and records the identifiers both sides assigned.
+//
+// Both copies are ownership boundaries, not defensive habit: req belongs to
+// the handler, which may reuse its maps after the call, so the record keeps
+// its own copy; and over the in-process bus resp is the callee's own
+// response value, whose Header map the callee's log record also holds, so
+// the handler gets a private copy it is free to mutate.
 func (c *Controller) outboundNormal(seq int, target string, req wire.Request) (wire.Response, repairlog.Call) {
 	respID := c.Svc.IDs.Response()
 	out := req.WithHeader(

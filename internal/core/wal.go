@@ -106,8 +106,9 @@ func (c *Controller) walCommit() {
 	}
 	c.walst.batchOpen = false
 	kind := c.walst.batchKind
-	ops := append([]wal.Op(nil), c.walst.batch...)
-	c.walst.batch = c.walst.batch[:0]
+	// No copy: with batchOpen cleared nothing appends to the batch, and
+	// walBegin, which reuses it, needs the Svc.Mu the caller holds.
+	ops := c.walst.batch
 	w := c.walst.w
 	c.walst.mu.Unlock()
 	if w == nil || len(ops) == 0 {

@@ -16,7 +16,6 @@ func configKey(id string) vdb.Key   { return vdb.Key{Model: oauthsvc.ModelConfig
 func userKey(id string) vdb.Key     { return vdb.Key{Model: askbot.ModelUser, ID: id} }
 func questionKey(id string) vdb.Key { return vdb.Key{Model: askbot.ModelQuestion, ID: id} }
 func snippetKey(id string) vdb.Key  { return vdb.Key{Model: dpaste.ModelSnippet, ID: id} }
-func cellPtrKey(id string) vdb.Key  { return vdb.Key{Model: spreadsheet.ModelCellPtr, ID: id} }
 func aclKey(id string) vdb.Key      { return vdb.Key{Model: spreadsheet.ModelACL, ID: id} }
 
 func cancelAction(reqID string) warp.Action {

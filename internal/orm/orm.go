@@ -74,7 +74,10 @@ func (s *Schema) Models() []string {
 // Obj is one model object: an ID plus string-valued fields.
 type Obj struct {
 	ID string
-	F  map[string]string
+	// F is shared with the store's immutable version snapshot (see
+	// vdb.Store.GetAt): it is read-only. To change an object, build a new
+	// map and Put it, or use Tx.Update, which copies.
+	F map[string]string
 }
 
 // Get returns the named field ("" if absent).

@@ -199,3 +199,61 @@ func TestIndexBytesAccounting(t *testing.T) {
 		t.Fatalf("IndexBytes after GC = %d (was %d): want smaller but positive", after, full)
 	}
 }
+
+// TestRepeatedDepsIndexOnce: a record that reads one key 300 times (a page
+// listing 300 posts by one author) holds one index entry for it — in the
+// inverted index and in its remembered indexed state — and IndexBytes,
+// Resync, and GC stay exact.
+func TestRepeatedDepsIndexOnce(t *testing.T) {
+	author := vdb.Key{Model: "user", ID: "alice"}
+	posted := vdb.Key{Model: "question", ID: "q1"}
+	build := func(reps int) (*Log, *Record) {
+		l := New(false)
+		r := rec("r1", 10)
+		for i := 0; i < reps; i++ {
+			r.Reads = append(r.Reads, ReadDep{Key: author, TS: 5, Hash: 1})
+			r.Scans = append(r.Scans, ScanDep{Model: "question", Hash: 2})
+			r.Writes = append(r.Writes, WriteDep{Key: posted, TS: 10})
+		}
+		if err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		return l, r
+	}
+	once, _ := build(1)
+	l, r := build(300)
+
+	st := l.indexed[r]
+	if len(st.readKeys) != 1 || len(st.writeKeys) != 1 || len(st.scanModels) != 1 {
+		t.Fatalf("indexed state holds %d read keys, %d write keys, %d scan models; want 1 each",
+			len(st.readKeys), len(st.writeKeys), len(st.scanModels))
+	}
+	if got := refIDs(l.ReadersOf(author, 0, 0)); len(got) != 1 || got[0] != "r1" {
+		t.Fatalf("ReadersOf(author) = %v", got)
+	}
+	if got := refIDs(l.ScannersOf("question", 0, 0)); len(got) != 1 {
+		t.Fatalf("ScannersOf(question) = %v", got)
+	}
+	if got, want := l.IndexBytes(), once.IndexBytes(); got != want {
+		t.Fatalf("IndexBytes = %d for 300 repeated reads, want %d (one read)", got, want)
+	}
+	if got := l.TotalModelOps(); got != 900 {
+		t.Fatalf("TotalModelOps = %d, want 900 (every recorded op counts)", got)
+	}
+
+	if err := l.Resync("r1"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := l.IndexBytes(), once.IndexBytes(); got != want {
+		t.Fatalf("IndexBytes after Resync = %d, want %d", got, want)
+	}
+
+	l.GC(11)
+	if got := l.IndexBytes(); got != 0 {
+		t.Fatalf("IndexBytes after GC = %d, want 0", got)
+	}
+	if len(l.readers) != 0 || len(l.writers) != 0 || len(l.scanners) != 0 || len(l.indexed) != 0 || l.TotalModelOps() != 0 {
+		t.Fatalf("GC left index entries: readers=%d writers=%d scanners=%d indexed=%d ops=%d",
+			len(l.readers), len(l.writers), len(l.scanners), len(l.indexed), l.TotalModelOps())
+	}
+}

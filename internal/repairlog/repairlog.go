@@ -221,43 +221,28 @@ type Log struct {
 	// sink observes every mutation for write-ahead logging (see wal.go).
 	sink func(Change)
 
-	compress    bool
-	sampleEvery int64
-	rawBytes    int64 // cumulative raw JSON size of all records
-	samples     int64
-	sampleRaw   int64 // raw bytes of the compression-sampled records
-	sampleGz    int64 // gzip bytes of the compression-sampled records
+	compress bool
+	samples  int64 // records appended, including replayed ones
 }
 
-// New returns an empty log. If compress is true, per-record size accounting
-// reports gzip-compressed JSON, matching the paper's Table 4 methodology
+// sampleEvery is how often AppBytes actually gzips a record when
+// compression is on; the other records are scaled by the observed ratio.
+const sampleEvery = 16
+
+// New returns an empty log. If compress is true, AppBytes reports
+// gzip-compressed JSON, matching the paper's Table 4 methodology
 // ("per-request storage required for Aire's logs (compressed)").
-// Compression happens off the request's critical path in a real deployment,
-// so the log gzips only every 16th record and scales the raw size by the
-// observed compression ratio; use SetSampleRate(1) for exact accounting.
 func New(compress bool) *Log {
 	return &Log{
-		byID:        make(map[string]*Record),
-		respIdx:     make(map[string]callPos),
-		calls:       make(map[string][]callSite),
-		readers:     make(map[vdb.Key][]Ref),
-		writers:     make(map[vdb.Key][]Ref),
-		scanners:    make(map[string][]Ref),
-		indexed:     make(map[*Record]*indexedState),
-		compress:    compress,
-		sampleEvery: 16,
+		byID:     make(map[string]*Record),
+		respIdx:  make(map[string]callPos),
+		calls:    make(map[string][]callSite),
+		readers:  make(map[vdb.Key][]Ref),
+		writers:  make(map[vdb.Key][]Ref),
+		scanners: make(map[string][]Ref),
+		indexed:  make(map[*Record]*indexedState),
+		compress: compress,
 	}
-}
-
-// SetSampleRate controls how often a record is actually gzipped for size
-// accounting (1 = every record).
-func (l *Log) SetSampleRate(n int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n < 1 {
-		n = 1
-	}
-	l.sampleEvery = n
 }
 
 // Append adds a record. Records may arrive with any timestamp (repair
@@ -283,10 +268,8 @@ func (l *Log) Append(r *Record) error {
 		delete(l.byID, r.ID)
 		return err
 	}
-	l.accountSize(r)
-	if l.sink != nil {
-		l.emitLocked(Change{Kind: "append", Record: r.Clone()})
-	}
+	l.samples++
+	l.emitLocked(Change{Kind: "append", Record: r})
 	return nil
 }
 
@@ -312,6 +295,18 @@ func insertRef(refs []Ref, r *Record) []Ref {
 	copy(refs[i+1:], refs[i:])
 	refs[i] = Ref{Rec: r, TS: r.TS, Seq: r.seq}
 	return refs
+}
+
+// addRef inserts the record's Ref into the index list of k, reporting
+// whether it was not there yet.
+func addRef[K comparable](idx map[K][]Ref, k K, r *Record) bool {
+	refs := idx[k]
+	n := len(refs)
+	if refs = insertRef(refs, r); len(refs) == n {
+		return false
+	}
+	idx[k] = refs
+	return true
 }
 
 // removeRef drops the record's Ref from a sorted index list.
@@ -378,17 +373,22 @@ func (l *Log) indexLocked(r *Record) error {
 			st.callTargets = append(st.callTargets, c.Target)
 		}
 	}
+	// A record that reads one key many times (a page listing 300 posts by
+	// one author) is indexed under it, and remembers it, once.
 	for _, d := range r.Reads {
-		l.readers[d.Key] = insertRef(l.readers[d.Key], r)
-		st.readKeys = append(st.readKeys, d.Key)
+		if addRef(l.readers, d.Key, r) {
+			st.readKeys = append(st.readKeys, d.Key)
+		}
 	}
 	for _, d := range r.Writes {
-		l.writers[d.Key] = insertRef(l.writers[d.Key], r)
-		st.writeKeys = append(st.writeKeys, d.Key)
+		if addRef(l.writers, d.Key, r) {
+			st.writeKeys = append(st.writeKeys, d.Key)
+		}
 	}
 	for _, d := range r.Scans {
-		l.scanners[d.Model] = insertRef(l.scanners[d.Model], r)
-		st.scanModels = append(st.scanModels, d.Model)
+		if addRef(l.scanners, d.Model, r) {
+			st.scanModels = append(st.scanModels, d.Model)
+		}
 	}
 	l.totalOps += st.ops
 	l.indexed[r] = st
@@ -458,27 +458,8 @@ func (l *Log) unindexLocked(r *Record) {
 	l.totalOps -= st.ops
 }
 
-func (l *Log) accountSize(r *Record) {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return
-	}
-	l.rawBytes += int64(len(b))
-	if l.compress && l.samples%l.sampleEvery == 0 {
-		var cw countingWriter
-		zw := gzPool.Get().(*gzip.Writer)
-		zw.Reset(&cw)
-		zw.Write(b)
-		zw.Close()
-		gzPool.Put(zw)
-		l.sampleRaw += int64(len(b))
-		l.sampleGz += cw.n
-	}
-	l.samples++
-}
-
-// gzPool recycles gzip writers: their ~1 MB of internal tables dominate the
-// logging path if allocated per record.
+// gzPool recycles gzip writers: their ~1 MB of internal tables dominate
+// AppBytes if allocated per sampled record.
 var gzPool = sync.Pool{
 	New: func() any {
 		zw, _ := gzip.NewWriterLevel(io.Discard, gzip.BestSpeed)
@@ -515,9 +496,7 @@ func (l *Log) Update(id string, fn func(*Record)) error {
 	l.unindexLocked(r)
 	fn(r)
 	idxErr := l.indexLocked(r)
-	if l.sink != nil {
-		l.emitLocked(Change{Kind: "update", Record: r.Clone()})
-	}
+	l.emitLocked(Change{Kind: "update", Record: r})
 	return idxErr
 }
 
@@ -785,20 +764,43 @@ func (l *Log) GCBefore() int64 {
 	return l.gcBefore
 }
 
-// AppBytes returns the cumulative (compressed, if enabled) encoded size of
-// all records appended, for Table 4's per-request log storage accounting.
-// With compression enabled, the value is the raw size scaled by the
-// compression ratio observed on sampled records.
+// AppBytes returns the (compressed, if enabled) encoded size of the records
+// the log holds now, for Table 4's per-request log storage accounting. It
+// encodes the live log when called, so the normal path never pays for it:
+// garbage-collected records no longer count, and repaired records count at
+// their current size. With compression enabled, every sampleEvery-th record
+// is gzipped and the raw size is scaled by the observed compression ratio.
+// It reads every record, so call it while no repair is rewriting records
+// in place (or under the service lock).
 func (l *Log) AppBytes() int64 {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	if !l.compress || l.sampleRaw == 0 {
-		return l.rawBytes
+	var raw, sampleRaw, sampleGz int64
+	for i, r := range l.order {
+		b, err := json.Marshal(r)
+		if err != nil {
+			continue
+		}
+		raw += int64(len(b))
+		if l.compress && i%sampleEvery == 0 {
+			var cw countingWriter
+			zw := gzPool.Get().(*gzip.Writer)
+			zw.Reset(&cw)
+			zw.Write(b)
+			zw.Close()
+			gzPool.Put(zw)
+			sampleRaw += int64(len(b))
+			sampleGz += cw.n
+		}
 	}
-	return int64(float64(l.rawBytes) * float64(l.sampleGz) / float64(l.sampleRaw))
+	if sampleRaw == 0 {
+		return raw
+	}
+	return int64(float64(raw) * float64(sampleGz) / float64(sampleRaw))
 }
 
-// Samples returns how many records have contributed to AppBytes.
+// Samples returns how many records have been appended (live or replayed),
+// the denominator for per-request AppBytes deltas.
 func (l *Log) Samples() int64 {
 	l.mu.RLock()
 	defer l.mu.RUnlock()

@@ -1,6 +1,7 @@
 package repairlog
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -145,6 +146,41 @@ func TestSizeAccounting(t *testing.T) {
 	}
 	if plain.Samples() != 1 {
 		t.Fatalf("samples = %d", plain.Samples())
+	}
+}
+
+// TestAppBytesFromLiveLog: AppBytes is the encoded size of the records the
+// log holds when it is asked — Samples counts every append, but GC'd
+// records stop counting and a repaired record counts at its new size.
+func TestAppBytesFromLiveLog(t *testing.T) {
+	l := New(false)
+	size := func(rs ...*Record) int64 {
+		var n int64
+		for _, r := range rs {
+			b, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += int64(len(b))
+		}
+		return n
+	}
+	var recs []*Record
+	for i := 1; i <= 4; i++ {
+		r := rec(fmt.Sprintf("r%d", i), int64(i*10))
+		recs = append(recs, r)
+		l.Append(r)
+	}
+	if got, want := l.AppBytes(), size(recs...); got != want {
+		t.Fatalf("AppBytes = %d, want %d", got, want)
+	}
+	l.Update("r4", func(r *Record) { r.Resp = wire.NewResponse(200, "a longer repaired response body") })
+	l.GC(25)
+	if got, want := l.AppBytes(), size(recs[2:]...); got != want {
+		t.Fatalf("AppBytes after update and GC = %d, want %d", got, want)
+	}
+	if l.Samples() != 4 {
+		t.Fatalf("Samples = %d, want 4", l.Samples())
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 type Change struct {
 	// Kind is "append", "update", or "gc".
 	Kind string `json:"kind"`
-	// Record is a deep copy of the appended/updated record.
+	// Record is the appended/updated record itself, borrowed (see
+	// SetChangeSink).
 	Record *Record `json:"record,omitempty"`
 	// BeforeTS is the horizon for gc.
 	BeforeTS int64 `json:"before_ts,omitempty"`
@@ -19,6 +20,10 @@ type Change struct {
 
 // SetChangeSink installs fn to observe every mutation. fn runs with the log
 // lock held and must not call back into the log. Pass nil to detach.
+//
+// Change.Record is borrowed, not copied: it is the log's own record, valid
+// only for the duration of the call. fn must encode (or otherwise consume)
+// it synchronously and must neither keep nor mutate it.
 func (l *Log) SetChangeSink(fn func(Change)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -59,7 +64,7 @@ func (l *Log) ApplyWAL(rec *Record) error {
 	copy(l.order[i+1:], l.order[i:])
 	l.order[i] = r
 	l.indexLocked(r)
-	l.accountSize(r)
+	l.samples++
 	return nil
 }
 

@@ -353,6 +353,11 @@ func (s *Store) Get(k Key) (Version, bool) {
 // GetAt returns the version of the object visible at timestamp ts: the
 // newest version with TS <= ts. It reports false if the object did not exist
 // or was deleted at ts.
+//
+// Unlike Get, GetAt does not copy: the returned Fields map is the stored
+// version's own and must be treated as read-only. Stored maps are never
+// mutated in place (every write installs a fresh copy), so the snapshot
+// stays valid after later writes or rollbacks.
 func (s *Store) GetAt(k Key, ts int64) (Version, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -365,7 +370,7 @@ func (s *Store) GetAt(k Key, ts int64) (Version, bool) {
 	if v.Deleted {
 		return Version{}, false
 	}
-	return v.clone(), true
+	return v, true
 }
 
 // HashAt returns the value fingerprint of the object at ts (MissingHash if

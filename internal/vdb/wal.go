@@ -11,7 +11,8 @@ type Change struct {
 	Kind string `json:"kind"`
 	// Key names the object for put/rollback.
 	Key Key `json:"key,omitempty"`
-	// Version is the written version for put.
+	// Version is the written version for put, borrowed (see
+	// SetChangeSink).
 	Version *Version `json:"version,omitempty"`
 	// TS is the rollback point for rollback, or the horizon for gc.
 	TS int64 `json:"ts,omitempty"`
@@ -19,6 +20,11 @@ type Change struct {
 
 // SetChangeSink installs fn to observe every mutation. fn runs with the
 // store lock held and must not call back into the store. Pass nil to detach.
+//
+// Change.Version is borrowed, not copied: its Fields map is the stored
+// version's own, valid only for the duration of the call. fn must encode
+// (or otherwise consume) it synchronously and must neither keep nor mutate
+// it.
 func (s *Store) SetChangeSink(fn func(Change)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -36,8 +42,7 @@ func (s *Store) emitPutLocked(k Key, nv Version) {
 	if s.sink == nil {
 		return
 	}
-	cp := nv.clone()
-	s.sink(Change{Kind: "put", Key: k, Version: &cp})
+	s.sink(Change{Kind: "put", Key: k, Version: &nv})
 }
 
 // ApplyChange replays one logged change during recovery. It never emits to

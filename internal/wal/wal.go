@@ -97,7 +97,9 @@ func ParsePolicy(s string) (FsyncPolicy, error) {
 
 // Op is one operation inside a commit's change set. Kind selects the
 // decoder ("vdb-put", "log-append", "q-set", "in-commit", ...); Data is the
-// kind-specific JSON payload.
+// kind-specific JSON payload. Data must be compact JSON exactly as
+// json.Marshal writes it: the writer frames it verbatim instead of
+// re-scanning it (see appendEntry).
 type Op struct {
 	Kind string          `json:"kind"`
 	Data json.RawMessage `json:"data,omitempty"`
@@ -165,6 +167,7 @@ type Writer struct {
 	seq     uint64   // last appended entry seq
 	pending int      // appends since last fsync (FsyncInterval)
 	closed  bool
+	frame   []byte // scratch for the next frame, reused under mu
 
 	// durSeq is the last entry seq known durable; epoch counts segment
 	// rotations so a sync completion can tell whether its captured offsets
@@ -439,14 +442,13 @@ func (w *Writer) AppendDeferred(kind string, clock, ids int64, ops []Op) (seq ui
 		}
 	}
 	e := Entry{Seq: w.seq + 1, Kind: kind, Clock: clock, IDs: ids, Ops: ops}
-	payload, err := json.Marshal(e)
-	if err != nil {
-		return 0, false, err
-	}
-	buf := make([]byte, frameSize+len(payload))
+	buf := appendEntry(append(w.frame[:0], make([]byte, frameSize)...), &e)
+	payload := buf[frameSize:]
 	binary.BigEndian.PutUint32(buf[0:4], uint32(len(payload)))
 	binary.BigEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[frameSize:], payload)
+	if cap(buf) <= maxKeptFrame {
+		w.frame = buf
+	}
 	if _, err := w.f.Write(buf); err != nil {
 		return 0, false, err
 	}
@@ -469,6 +471,62 @@ func (w *Writer) AppendDeferred(kind string, clock, ids int64, ops []Op) (seq ui
 		w.opts.OnAppend(time.Since(appendStart))
 	}
 	return e.Seq, syncNeeded, nil
+}
+
+// maxKeptFrame caps the frame scratch a Writer keeps between appends, so
+// one huge commit does not pin its buffer for the writer's lifetime.
+const maxKeptFrame = 64 << 10
+
+// appendEntry appends the JSON encoding of e to buf. The bytes are exactly
+// what json.Marshal(e) writes, but the op payloads are copied in as they
+// are rather than re-scanned and compacted: each Data is already compact
+// json.Marshal output, so the encoder's second pass would change nothing.
+func appendEntry(buf []byte, e *Entry) []byte {
+	buf = append(buf, `{"seq":`...)
+	buf = strconv.AppendUint(buf, e.Seq, 10)
+	buf = append(buf, `,"kind":`...)
+	buf = appendString(buf, e.Kind)
+	if e.Clock != 0 {
+		buf = append(buf, `,"clock":`...)
+		buf = strconv.AppendInt(buf, e.Clock, 10)
+	}
+	if e.IDs != 0 {
+		buf = append(buf, `,"ids":`...)
+		buf = strconv.AppendInt(buf, e.IDs, 10)
+	}
+	if len(e.Ops) > 0 {
+		buf = append(buf, `,"ops":[`...)
+		for i, op := range e.Ops {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = append(buf, `{"kind":`...)
+			buf = appendString(buf, op.Kind)
+			if len(op.Data) > 0 {
+				buf = append(buf, `,"data":`...)
+				buf = append(buf, op.Data...)
+			}
+			buf = append(buf, '}')
+		}
+		buf = append(buf, ']')
+	}
+	return append(buf, '}')
+}
+
+// appendString appends s as the JSON string json.Marshal writes. Printable
+// ASCII with nothing to escape is quoted directly; anything else (quotes,
+// backslashes, control and HTML-sensitive characters, non-ASCII) goes
+// through json.Marshal itself.
+func appendString(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s)
+			return append(buf, b...)
+		}
+	}
+	buf = append(buf, '"')
+	buf = append(buf, s...)
+	return append(buf, '"')
 }
 
 // SyncTo blocks until every entry up to and including seq is durable. It is
