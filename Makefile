@@ -10,7 +10,8 @@ GO ?= go
 # crash, mixed, stale, dupcreate, lostwave, corrupt). CI runs a short
 # fixed-seed matrix; longer local sweeps:
 #   make sim SIM_PROFILE=mixed SIM_SEEDS=1:1000
-# Anti-entropy teeth (ISSUE 9) — the lostwave curse without vectors:
+# Anti-entropy teeth (ISSUE 9) — the lostwave curse with the fault fabric
+# stripping the version-vector headers (simnet.FaultPlan.StripVectors):
 #   go run ./cmd/airesim -profile lostwave -novectors -seeds 1:20 -expect-fail
 SIM_SEEDS ?= 1:20
 SIM_PROFILE ?= mixed

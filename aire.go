@@ -107,7 +107,7 @@ type (
 	// PendingMsg is a queued outgoing repair message.
 	PendingMsg = core.PendingMsg
 	// PeerVectorDump is one peer's sender-side anti-entropy vector state
-	// (Controller.VectorDump; Config.VersionVectors).
+	// (Controller.VectorDump).
 	PeerVectorDump = core.PeerVectorDump
 	// Backoff is the exponential retry schedule the repair pump applies to
 	// unreachable peers (zero value: legacy park-after-MaxAttempts).

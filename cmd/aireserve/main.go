@@ -46,9 +46,8 @@ import (
 // per-hop latency; ?verbose=1 includes the raw spans) as JSON, and
 // /aire/debug/vectors serves every service's sender-side anti-entropy
 // vectors (acked prefix, frontier, outstanding deliveries, re-offer state
-// per peer; empty with -vectors off). The registry is shared — metric names
-// carry the service prefix — so either listener answers for the whole
-// testbed.
+// per peer). The registry is shared — metric names carry the service
+// prefix — so either listener answers for the whole testbed.
 func withDebug(reg *obs.Registry, ctrls map[string]*aire.Controller, h http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/aire/debug/metrics", reg.Handler())
@@ -75,7 +74,6 @@ func main() {
 	interval := flag.Duration("pump-interval", 100*time.Millisecond, "pacing of background pump passes")
 	backoff := flag.Duration("backoff", 50*time.Millisecond, "base retry delay for unreachable peers (0 = park after max attempts)")
 	backoffMax := flag.Duration("backoff-max", 5*time.Second, "cap on the exponential retry delay")
-	vectors := flag.Bool("vectors", false, "enable the anti-entropy version-vector layer: carriers announce acked/frontier sequences, receivers compact dedup entries and NACK gaps, wholly-lost deliveries are re-offered without waiting out backoff")
 	waldir := flag.String("waldir", "aireserve-data", `durable state directory (per-service WAL + checkpoints); "" disables durability`)
 	fsync := flag.String("fsync", "every", "WAL fsync policy: every, interval, none")
 	cpEvery := flag.Duration("checkpoint-interval", 30*time.Second, "how often each service checkpoints and truncates its WAL")
@@ -90,7 +88,6 @@ func main() {
 	if *backoff > 0 {
 		cfg.Backoff = aire.Backoff{Base: *backoff, Max: *backoffMax, Factor: 2}
 	}
-	cfg.VersionVectors = *vectors
 
 	caller := &transport.HTTPCaller{BaseURLs: map[string]string{
 		"a": "http://" + *addrA,
@@ -149,10 +146,7 @@ func main() {
 		*workers, *batch, *interval, *backoff)
 	fmt.Println("aire: try POST /put?key=x&val=hello on a, then GET /get?key=x on b,")
 	fmt.Println("aire: then POST /aire/repair with Aire-Repair: delete + Aire-Request-Id headers")
-	fmt.Println("aire: observability at /aire/debug/metrics and /aire/debug/waves on either service")
-	if *vectors {
-		fmt.Println("aire: anti-entropy version vectors ON; per-peer state at /aire/debug/vectors")
-	}
+	fmt.Println("aire: observability at /aire/debug/metrics, /aire/debug/waves and /aire/debug/vectors on either service")
 	<-ctx.Done()
 	fmt.Println("aire: shutting down, draining repair pumps")
 }

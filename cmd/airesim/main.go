@@ -33,6 +33,7 @@
 //	go run ./cmd/airesim -profile crash -seeds 17 -v   # replay one failure
 //	go run ./cmd/airesim -profile crash -seeds 1:20 -fsync none
 //	go run ./cmd/airesim -profile stale -seeds 1:20 -nodedup
+//	go run ./cmd/airesim -profile lostwave -seeds 1:20 -novectors -expect-fail
 //	go run ./cmd/airesim -sched -profile mixed -seeds 7 -v
 package main
 
@@ -59,9 +60,7 @@ func main() {
 		shards    = flag.Int("shards", 0, "shard every faulted service N ways behind a key-hash router (per-shard store/log/pump/WAL); the convergence oracle is shard-count-invariant (0/1 = unsharded)")
 		fsync     = flag.String("fsync", "", `override the WAL fsync policy of WAL-backed profiles (crash, fsynclag): "every", "interval", "none" (empty = profile default; "none" demonstrates tail loss)`)
 		nodedup   = flag.Bool("nodedup", false, "disable the peer-side exactly-once dedup inbox (demonstrates the stale/dupcreate hazards)")
-		vectors   = flag.Bool("vectors", false, "force the anti-entropy version-vector layer ON regardless of profile default")
-		novectors = flag.Bool("novectors", false, "force the anti-entropy version-vector layer OFF (demonstrates the lostwave stall: a silently lost delivery outlives every backoff retry)")
-		inboxcap  = flag.Int("inboxcap", 0, "per-origin dedup-inbox entry cap (0 = core default); tiny caps prove exactly-once rides acked-prefix compaction, not LRU headroom")
+		novectors = flag.Bool("novectors", false, "strip the anti-entropy vector headers in the fault fabric (demonstrates the lostwave stall: a silently lost delivery outlives every backoff retry)")
 		expectF   = flag.Bool("expect-fail", false, "invert the verdict: exit 0 only if at least one seed FAILS the oracle (teeth checks: proves a disabled defense genuinely loses its property)")
 		verbose   = flag.Bool("v", false, "print the fault schedule of failing seeds")
 		listProfs = flag.Bool("profiles", false, "list fault profiles and exit")
@@ -100,19 +99,7 @@ func main() {
 	base.DisableDedup = *nodedup
 	base.ScheduledPump = *sched
 	base.Shards = *shards
-	if *vectors && *novectors {
-		fmt.Fprintln(os.Stderr, "airesim: -vectors and -novectors are mutually exclusive")
-		os.Exit(2)
-	}
-	if *vectors {
-		base.VersionVectors = true
-	}
-	if *novectors {
-		base.VersionVectors = false
-	}
-	if *inboxcap > 0 {
-		base.InboxCap = *inboxcap
-	}
+	base.Faults.StripVectors = *novectors
 	if *fsync != "" {
 		if !base.WAL {
 			fmt.Fprintf(os.Stderr, "airesim: -fsync only applies to WAL-backed profiles (crash, fsynclag); %s is not\n", *profile)

@@ -161,10 +161,6 @@ type Config struct {
 	// simulator can demonstrate the stale-redelivery and duplicate-create
 	// hazards the inbox closes.
 	DisableDedupInbox bool
-	// InboxCap bounds the dedup inbox's per-origin entry count (0 means
-	// deliver.DefaultCap). Deliveries evicted from the bound stay covered
-	// by a per-origin watermark.
-	InboxCap int
 	// Sched is the concurrency substrate the background pump runs on (nil
 	// means real goroutines — sched.Goroutines()). The deterministic
 	// simulator injects internal/dsched here so pump workers, backoff
@@ -196,16 +192,6 @@ type Config struct {
 	// Exists so the double-queue regression test can prove the atomic
 	// entry closes the window; never set it outside tests.
 	FaultSplitRepairCommit bool
-	// VersionVectors enables the anti-entropy sequence-announcement layer
-	// (vectors.go): every stamped repair-plane carrier piggybacks the
-	// sender's acked prefix and frontier for the destination peer
-	// (wire.HdrAckedSeq / wire.HdrFrontierSeq), the dedup inbox switches to
-	// exact vector-mode classification and compacts acked prefixes, and
-	// sequence gaps are NACKed back to the sender for immediate re-offer
-	// instead of waiting out delivery backoff. Default off: with vectors
-	// disabled no new headers are stamped, no new yield points fire, and
-	// existing scheduler digests stay byte-identical.
-	VersionVectors bool
 	// Topology, when non-nil, is the shared key→shard map for every
 	// service in the deployment (shard.go). A controller with a topology
 	// resolves repair carriers bound for a sharded peer to the owning
@@ -324,7 +310,7 @@ type Controller struct {
 	nextID int
 	peers  map[string]*peerState // per-peer delivery health, guarded by qmu
 	// vectors is the sender-side version-vector state per destination peer
-	// (vectors.go); nil unless Cfg.VersionVectors. Guarded by qmu.
+	// (vectors.go). Guarded by qmu.
 	vectors map[string]*peerVector
 	// liveCalls counts in-flight live (non-repair) outbound calls per peer;
 	// admission control trickles repair delivery to peers that are actively
@@ -396,7 +382,8 @@ func NewController(app App, net Caller, cfg Config) *Controller {
 		Engine:    &warp.Engine{Svc: svc, Cfg: cfg.Engine},
 		tokens:    make(map[string]tokenEntry),
 		mailboxes: make(map[string][]string),
-		dedup:     deliver.NewInbox(cfg.InboxCap),
+		dedup:     deliver.NewInbox(),
+		vectors:   make(map[string]*peerVector),
 		peers:     make(map[string]*peerState),
 		liveCalls: make(map[string]int),
 		sd:        cfg.Sched,
@@ -404,10 +391,6 @@ func NewController(app App, net Caller, cfg Config) *Controller {
 	}
 	if c.sd == nil {
 		c.sd = sched.Goroutines()
-	}
-	if cfg.VersionVectors {
-		c.vectors = make(map[string]*peerVector)
-		c.dedup.EnableVectors()
 	}
 	c.met = newCtrlMetrics(cfg.Obs, app.Name())
 	c.qcond = sync.NewCond(&c.qmu)
@@ -444,10 +427,10 @@ func traceFromCarrier(req wire.Request) traceCtx {
 // HandleWire implements transport.Handler: repair API paths are handled by
 // the controller itself; everything else is normal application traffic.
 // Repair-plane carriers run two protocol preambles first: the body
-// checksum (a corrupted payload is refused loudly, not misapplied) and —
-// in version-vector mode — the announced-vector observation, whose gap
-// verdict is NACKed on the response so the sender can re-offer the lost
-// delivery without waiting out backoff.
+// checksum (a corrupted payload is refused loudly, not misapplied) and the
+// announced-vector observation, whose gap verdict is NACKed on the
+// response so the sender can re-offer the lost delivery without waiting
+// out backoff.
 func (c *Controller) HandleWire(from string, req wire.Request) wire.Response {
 	var resp wire.Response
 	switch req.Path {

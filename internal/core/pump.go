@@ -421,9 +421,8 @@ func (c *Controller) deliverBatch(cl *claimedBatch) (delivered int) {
 		}
 		heldAttempts := 0
 
-		// Gap NACKs get their own labeled decision point — but only in
-		// vector mode, so vectors-off runs take byte-identical schedules.
-		if snap.nacked && c.vectors != nil {
+		// Gap NACKs get their own labeled decision point.
+		if snap.nacked {
 			c.sd.YieldNamed("vv-reoffer") // schedule point: peer NACKed a gap
 		}
 

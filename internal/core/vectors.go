@@ -11,10 +11,10 @@ import (
 )
 
 // This file is the sender side of the anti-entropy version-vector layer
-// (Config.VersionVectors; the receive side lives in deliver.Inbox's
-// vector mode). Every delivery ID the controller mints carries a sequence
-// from the service's shared monotonic counter ("svc-dlv-N"), so for each
-// destination peer the controller can announce, on every stamped carrier:
+// (the receive side lives in deliver.Inbox). Every delivery ID the
+// controller mints carries a sequence from the service's shared monotonic
+// counter ("svc-dlv-N"), so for each destination peer the controller can
+// announce, on every stamped carrier:
 //
 //   - Aire-Acked-Seq: the highest sequence S such that every delivery this
 //     service ever addressed to the peer with sequence <= S has been
@@ -25,13 +25,13 @@ import (
 //   - Aire-Frontier-Seq: the highest sequence ever addressed to the peer.
 //
 // The receiver compacts dedup-inbox entries at or below the acked prefix
-// (they can never be asked about again) and classifies post-eviction
-// arrivals exactly; it detects gaps — a wholly-lost delivery none of whose
-// retries ever arrived — against the announced vector and answers with
-// Aire-Nack-Seq on the response. A NACK makes the sender clear the peer's
-// backoff window and stamp Aire-Reoffer on subsequent attempts: the
-// anti-entropy path that recovers a lost delivery without waiting out the
-// exponential backoff horizon.
+// (they can never be asked about again) and classifies arrivals inside it
+// as duplicates without consulting an entry; it detects gaps — a
+// wholly-lost delivery none of whose retries ever arrived — against the
+// announced vector and answers with Aire-Nack-Seq on the response. A NACK
+// makes the sender clear the peer's backoff window and stamp Aire-Reoffer
+// on subsequent attempts: the anti-entropy path that recovers a lost
+// delivery without waiting out the exponential backoff horizon.
 //
 // Sender vectors are derived state: outstanding sequences mirror the
 // outgoing queue exactly (issued when a delivery ID enters the queue,
@@ -60,9 +60,6 @@ type peerVector struct {
 // Idempotent (out is a set), so WAL replay's q-set upserts are safe.
 // Caller holds qmu.
 func (c *Controller) vvIssueLocked(peer, deliveryID string) {
-	if c.vectors == nil {
-		return
-	}
 	seq := deliver.Seq(deliveryID)
 	if seq == 0 {
 		return
@@ -82,9 +79,6 @@ func (c *Controller) vvIssueLocked(peer, deliveryID string) {
 // (delivered, gone, or dropped), advancing the peer's acked prefix.
 // Caller holds qmu.
 func (c *Controller) vvResolveLocked(peer, deliveryID string) {
-	if c.vectors == nil {
-		return
-	}
 	seq := deliver.Seq(deliveryID)
 	if seq == 0 {
 		return
@@ -94,10 +88,9 @@ func (c *Controller) vvResolveLocked(peer, deliveryID string) {
 	}
 }
 
-// vvAnnouncement computes the (acked, frontier, reoffer) triple to stamp on
-// a carrier bound for peer. ok is false when nothing was ever issued to the
-// peer — the carrier then announces nothing, so a receiver never sees a
-// zero vector it might misread as "everything below my sequence is acked".
+// announcement computes the (acked, frontier, reoffer) triple the next
+// carrier to peer stamps. The acked prefix is min(outstanding)-1, or the
+// frontier when nothing is outstanding.
 //
 // Re-offer stamping has two triggers. The fast one is a peer NACK
 // (pv.reoffer): the receiver proved it is missing a delivery, so the very
@@ -108,29 +101,31 @@ func (c *Controller) vvResolveLocked(peer, deliveryID string) {
 // discarding this delivery's every retry, and a lost delivery at the head
 // of the per-peer FIFO blocks the later carriers whose announcements would
 // have revealed its gap, so no NACK can arrive to trigger the fast path.
-func (c *Controller) vvAnnouncement(peer string) (acked, frontier uint64, reoffer, ok bool) {
-	if c.vectors == nil {
-		return 0, 0, false, false
-	}
-	c.qmu.Lock()
-	defer c.qmu.Unlock()
-	pv := c.vectors[peer]
-	if pv == nil || pv.frontier == 0 {
-		return 0, 0, false, false
-	}
+// Caller holds qmu.
+func (pv *peerVector) announcement(ps *peerState, maxAttempts int) (acked, frontier uint64, reoffer bool) {
 	acked = pv.frontier
 	for seq := range pv.out {
 		if seq <= acked {
 			acked = seq - 1
 		}
 	}
-	reoffer = pv.reoffer
-	if !reoffer {
-		if ps := c.peers[peer]; ps != nil && ps.failures >= c.Cfg.MaxAttempts {
-			reoffer = true
-		}
+	reoffer = pv.reoffer || (ps != nil && ps.failures >= maxAttempts)
+	return acked, pv.frontier, reoffer
+}
+
+// vvAnnouncement is the announcement for a carrier bound for peer. ok is
+// false when nothing was ever issued to the peer — the carrier then
+// announces nothing, so a receiver never sees a zero vector it might
+// misread as "everything below my sequence is acked".
+func (c *Controller) vvAnnouncement(peer string) (acked, frontier uint64, reoffer, ok bool) {
+	c.qmu.Lock()
+	defer c.qmu.Unlock()
+	pv := c.vectors[peer]
+	if pv == nil || pv.frontier == 0 {
+		return 0, 0, false, false
 	}
-	return acked, pv.frontier, reoffer, true
+	acked, frontier, reoffer = pv.announcement(c.peers[peer], c.Cfg.MaxAttempts)
+	return acked, frontier, reoffer, true
 }
 
 // vvNackLocked reacts to a peer's gap NACK: the peer proved it is alive
@@ -138,9 +133,6 @@ func (c *Controller) vvAnnouncement(peer string) (acked, frontier uint64, reoffe
 // delay recovery. Clear the window, mark the vector for re-offer stamping,
 // and nudge the pump. Caller holds qmu.
 func (c *Controller) vvNackLocked(peer string) {
-	if c.vectors == nil {
-		return
-	}
 	pv := c.vectors[peer]
 	if pv == nil {
 		return
@@ -160,9 +152,6 @@ func (c *Controller) vvNackLocked(peer string) {
 // another way), so subsequent carriers go back to normal stamping. Caller
 // holds qmu.
 func (c *Controller) vvClearReofferLocked(peer string) {
-	if c.vectors == nil {
-		return
-	}
 	if pv := c.vectors[peer]; pv != nil {
 		pv.reoffer = false
 	}
@@ -194,7 +183,7 @@ func (c *Controller) verifyCarrierBody(req wire.Request) *wire.Response {
 // detection. Returns whether the receiver should NACK, and the first
 // sequence it believes is missing (forensic; presence is the signal).
 func (c *Controller) observeCarrierVector(from string, req wire.Request) (nack bool, missing uint64) {
-	if !c.Cfg.VersionVectors || c.Cfg.DisableDedupInbox {
+	if c.Cfg.DisableDedupInbox {
 		return false, 0
 	}
 	ackedHdr := req.Header[wire.HdrAckedSeq]
@@ -265,11 +254,8 @@ type PeerVectorDump struct {
 }
 
 // VectorDump snapshots the sender-side version vectors for every peer,
-// sorted by peer name. Nil when Config.VersionVectors is off.
+// sorted by peer name.
 func (c *Controller) VectorDump() []PeerVectorDump {
-	if c.vectors == nil {
-		return nil
-	}
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
 	names := make([]string, 0, len(c.vectors))
@@ -280,18 +266,9 @@ func (c *Controller) VectorDump() []PeerVectorDump {
 	out := make([]PeerVectorDump, 0, len(names))
 	for _, name := range names {
 		pv := c.vectors[name]
-		acked := pv.frontier
-		for seq := range pv.out {
-			if seq <= acked {
-				acked = seq - 1
-			}
-		}
-		reoffer := pv.reoffer
-		if ps := c.peers[name]; !reoffer && ps != nil && ps.failures >= c.Cfg.MaxAttempts {
-			reoffer = true
-		}
+		acked, frontier, reoffer := pv.announcement(c.peers[name], c.Cfg.MaxAttempts)
 		out = append(out, PeerVectorDump{
-			Peer: name, Acked: acked, Frontier: pv.frontier,
+			Peer: name, Acked: acked, Frontier: frontier,
 			Outstanding: len(pv.out), Reoffer: reoffer,
 		})
 	}

@@ -22,35 +22,28 @@
 // originally minted request ID for creates), and stale generations are
 // acknowledged and discarded.
 //
-// The inbox is bounded: each origin keeps an LRU of recent deliveries plus a
-// watermark covering deliveries evicted from it. Delivery IDs carry the
-// sender's monotonic sequence number, so an arrival whose entry was evicted
-// but whose sequence is at or below the watermark is classified as a
-// duplicate rather than re-applied — unless the sequence is recorded as a
-// hole (begun and rolled back without ever committing: known never-applied),
-// in which case it is re-applied however far the watermark has advanced.
-// Entries, the watermark, and the holes are garbage-collected together
-// with the repair log horizon (Controller.GC) and persisted through
-// internal/persist so crash-restart keeps the exactly-once guarantee.
+// Every carrier also piggybacks the sender's version vector for this
+// receiver, fed in through ObserveVector: its highest contiguous
+// acknowledged sequence (wire.HdrAckedSeq) and its stamped frontier
+// (wire.HdrFrontierSeq). Delivery IDs carry the sender's monotonic sequence
+// number, so an arrival at or below the acked prefix is a duplicate by
+// definition — the sender only advances the prefix after seeing this
+// inbox's terminal outcome — and an arrival above it with no entry is
+// genuinely new. Entries covered by the acked prefix are compacted away:
+// ack compaction, not a capacity bound, is what releases memory, and
+// nothing is forgotten while the sender still cares about it. An origin
+// that never announces a vector keeps its entries until GC. ObserveVector
+// also detects sequence gaps against the announced vector, which the
+// controller answers with a NACK (wire.HdrNackSeq) so the sender re-offers
+// wholly-lost deliveries without waiting out backoff.
 //
-// In version-vector mode (EnableVectors; Config.VersionVectors upstream) the
-// watermark heuristics are replaced with exact knowledge: every carrier
-// piggybacks the sender's highest contiguous acknowledged sequence for this
-// receiver (wire.HdrAckedSeq) and its stamped frontier (wire.HdrFrontierSeq),
-// observed via ObserveVector. An arrival at or below the acked prefix is a
-// duplicate by definition — the sender only advances the prefix after seeing
-// this inbox's terminal outcome — and everything above it with no entry is
-// genuinely new, so entries for the acked prefix are compacted away (ack'd
-// prefixes need no entries) and capacity eviction is suspended for announcing
-// origins: nothing is ever forgotten while the sender still cares about it,
-// which is what drives the watermark's quantified misread residual to zero.
-// ObserveVector also detects sequence gaps against the announced vector,
-// which the controller answers with a NACK (wire.HdrNackSeq) so the sender
-// re-offers wholly-lost deliveries without waiting out backoff.
+// Entries are garbage-collected with the repair log horizon
+// (Controller.GC), and the whole inbox — entries, vectors, GC horizon — is
+// persisted through internal/persist so crash-restart keeps the
+// exactly-once guarantee.
 package deliver
 
 import (
-	"container/list"
 	"sort"
 	"strconv"
 	"strings"
@@ -99,10 +92,6 @@ func (d Decision) String() string {
 	return "unknown"
 }
 
-// DefaultCap is the per-origin entry bound used when the inbox is
-// constructed with cap <= 0.
-const DefaultCap = 4096
-
 // entry remembers one delivery's highest applied generation and outcome.
 type entry struct {
 	id      string
@@ -117,48 +106,25 @@ type entry struct {
 	prevGen     uint64
 	prevOutcome string
 	prevTS      int64
-	elem        *list.Element
 }
 
 // originState is one sender's dedup memory.
 type originState struct {
 	entries map[string]*entry
-	lru     *list.List // front = most recently seen
-	// watermark is the highest delivery sequence evicted from the LRU by
-	// the capacity bound: an arrival at or below it with no entry is
-	// overwhelmingly a re-delivery of something applied and forgotten, so
-	// it is re-acknowledged rather than re-applied.
-	watermark uint64
 	// gcSeq is the highest delivery sequence dropped by GC — the
 	// administrative horizon. Below it, "applied or not" is no longer
 	// knowable (a Held message retried after the horizon was never
 	// applied), so arrivals are refused as Forgotten instead of silently
 	// acked or re-applied.
 	gcSeq uint64
-	// holes records sequences known to be *never applied*: deliveries
-	// whose apply was begun and rolled back with no previously committed
-	// state (the sender typically parks such a message Held awaiting
-	// Retry). The watermark assumes every sequence below it was applied;
-	// without this set, a Held message retried after InboxCap+ later
-	// deliveries from the same origin pushed the watermark past it would
-	// be misread as a duplicate and the repair silently lost. A hole is
-	// cleared when its delivery is reserved again, pruned by GC, and
-	// persisted with the origin. It cannot cover deliveries the inbox
-	// never saw at all (dropped in the network before the first Begin);
-	// for a never-announcing sender those retain the watermark's
-	// InboxCap-bounded misread — version-vector mode closes it to zero
-	// (TestEvictionResidualZeroUnderVectors).
-	holes map[uint64]bool
 	// acked is the sender's announced highest contiguous acknowledged
-	// sequence for this receiver (version-vector mode): every delivery it
-	// ever stamped for us at or below it has reached a terminal outcome
-	// here, so arrivals in that prefix are duplicates exactly and entries
-	// covering it can be compacted away.
+	// sequence for this receiver: every delivery it ever stamped for us at
+	// or below it has reached a terminal outcome here, so arrivals in that
+	// prefix are duplicates exactly and entries covering it are compacted
+	// away.
 	acked uint64
 	// frontier is the highest sequence the sender has announced stamping
-	// for us; frontier > 0 marks the origin as vector-announcing, which
-	// suspends capacity eviction (the acked prefix, not the LRU bound, is
-	// what releases entries).
+	// for us, consulted by gap detection.
 	frontier uint64
 	// maxSeen is the highest sequence ever committed from this origin,
 	// consulted by gap detection.
@@ -166,35 +132,21 @@ type originState struct {
 }
 
 func newOriginState() *originState {
-	return &originState{entries: map[string]*entry{}, lru: list.New(), holes: map[uint64]bool{}}
+	return &originState{entries: map[string]*entry{}}
 }
 
 // Inbox is a per-origin dedup memory for repair-plane deliveries. Safe for
 // concurrent use.
 type Inbox struct {
 	mu      sync.Mutex
-	cap     int
-	vv      bool
 	high    int
 	origins map[string]*originState
 }
 
-// NewInbox returns an empty inbox bounding each origin to cap entries
-// (cap <= 0 means DefaultCap).
-func NewInbox(cap int) *Inbox {
-	if cap <= 0 {
-		cap = DefaultCap
-	}
-	return &Inbox{cap: cap, origins: map[string]*originState{}}
+// NewInbox returns an empty inbox.
+func NewInbox() *Inbox {
+	return &Inbox{origins: map[string]*originState{}}
 }
-
-// EnableVectors switches the inbox into version-vector mode: post-eviction
-// classification uses the sender-announced acked prefix (ObserveVector)
-// instead of the watermark heuristic, and announcing origins release entries
-// by ack compaction rather than LRU eviction. Must be called before the
-// inbox is shared between goroutines. Origins that never announce a vector
-// (a vectors-off sender on the other end) keep the watermark behavior.
-func (ib *Inbox) EnableVectors() { ib.vv = true }
 
 // VectorObservation is the result of feeding one carrier's announced
 // version vector into the inbox.
@@ -254,14 +206,8 @@ func (ib *Inbox) ObserveVector(origin string, acked, frontier, curSeq uint64) Ve
 	}
 	for id, e := range o.entries {
 		if !e.pending && e.seq > 0 && e.seq <= o.acked {
-			o.lru.Remove(e.elem)
 			delete(o.entries, id)
 			obs.Compacted++
-		}
-	}
-	for seq := range o.holes {
-		if seq <= o.acked {
-			delete(o.holes, seq)
 		}
 	}
 	effSeen := o.maxSeen
@@ -289,7 +235,7 @@ func (ib *Inbox) HighWater() int {
 // Seq extracts the sender's monotonic sequence number from a delivery ID
 // ("svc-dlv-42" → 42); 0 if the ID carries none. Sequence-less IDs are
 // still deduplicated while their entry lives, but cannot be covered by the
-// eviction watermark.
+// acked prefix or the GC horizon.
 func Seq(deliveryID string) uint64 {
 	i := strings.LastIndexByte(deliveryID, '-')
 	if i < 0 {
@@ -304,9 +250,11 @@ func Seq(deliveryID string) uint64 {
 
 // Begin classifies one arriving delivery and, when the verdict is Apply,
 // reserves the (id, gen) pair so the caller can apply the repair and then
-// Commit its outcome (or Rollback a failed apply). Duplicate returns the
-// outcome recorded by the original application ("" if the entry was evicted
-// and only the watermark vouches for it).
+// Commit its outcome (or Rollback a failed apply). A delivery with a live
+// entry is classified by it; one without is Forgotten at or below the GC
+// horizon, a Duplicate inside the acked prefix, and new otherwise.
+// Duplicate returns the outcome recorded by the original application (""
+// when the entry was compacted and only the acked prefix vouches for it).
 //
 // once marks a once-only operation (a repair `create`): its effect is
 // minted exactly once per delivery identity, so any committed entry makes
@@ -323,43 +271,22 @@ func (ib *Inbox) Begin(origin, id string, gen uint64, once bool) (Decision, stri
 	}
 	e, ok := o.entries[id]
 	if !ok {
-		if seq := Seq(id); seq > 0 {
-			if seq <= o.gcSeq {
-				return Forgotten, ""
-			}
-			// Version-vector mode: the sender-announced acked prefix is
-			// exact — it only advances after this inbox's terminal outcome
-			// was consumed by the sender — so an arrival inside it is a
-			// duplicate whatever its generation (a superseding generation of
-			// an acked delivery cannot exist: supersede bumps the queued
-			// message in place, and acked means it left the queue).
-			if ib.vv && seq <= o.acked {
-				return Duplicate, ""
-			}
-			// The eviction watermark vouches only for the generation-zero
-			// copy: an arrival carrying a bumped generation is superseding
-			// content that must still land (re-applying replace/delete is
-			// idempotent), so only gen-0 arrivals are swallowed here — and
-			// never one recorded as a hole (begun, rolled back, entry
-			// removed): that delivery is known never-applied, so a retry
-			// must re-apply however far the watermark has advanced. (In
-			// vector mode announcing origins never evict, so their
-			// watermark stays zero and this rule is the fallback for
-			// vectors-off senders only.)
-			if seq <= o.watermark && gen == 0 && !o.holes[seq] {
-				return Duplicate, ""
-			}
-			// Reserving closes the hole; a failed apply re-opens it.
-			delete(o.holes, seq)
+		seq := Seq(id)
+		if seq > 0 && seq <= o.gcSeq {
+			return Forgotten, ""
 		}
-		e = &entry{id: id, seq: Seq(id), gen: gen, pending: true}
-		e.elem = o.lru.PushFront(e)
-		o.entries[id] = e
+		// The acked prefix is exact — it only advances after this inbox's
+		// terminal outcome was consumed by the sender — so an arrival
+		// inside it is a duplicate whatever its generation (a superseding
+		// generation of an acked delivery cannot exist: supersede bumps the
+		// queued message in place, and acked means it left the queue).
+		if seq > 0 && seq <= o.acked {
+			return Duplicate, ""
+		}
+		o.entries[id] = &entry{id: id, seq: seq, gen: gen, pending: true}
 		ib.noteHighLocked()
-		ib.evictLocked(o)
 		return Apply, ""
 	}
-	o.lru.MoveToFront(e.elem)
 	if e.pending {
 		// Another copy of this delivery is mid-apply. Whatever the
 		// relative generations, answer retryably: reserving over the
@@ -408,8 +335,8 @@ func (ib *Inbox) Commit(origin, id string, gen uint64, outcome string, ts int64)
 }
 
 // Rollback releases a reservation whose apply failed, restoring the
-// previously committed state (or forgetting the delivery entirely) so a
-// later genuine retry is classified Apply again.
+// previously committed state, or forgetting a never-committed delivery
+// outright, so a later genuine retry is classified Apply again.
 func (ib *Inbox) Rollback(origin, id string, gen uint64) {
 	ib.mu.Lock()
 	defer ib.mu.Unlock()
@@ -426,13 +353,7 @@ func (ib *Inbox) Rollback(origin, id string, gen uint64) {
 		e.pending, e.prevOK = false, false
 		return
 	}
-	o.lru.Remove(e.elem)
 	delete(o.entries, id)
-	// Nothing of this delivery was ever applied: remember that, so the
-	// eviction watermark cannot later misread its retry as a duplicate.
-	if e.seq > 0 {
-		o.holes[e.seq] = true
-	}
 }
 
 // noteHighLocked records the total-entry high-water mark after an insert.
@@ -443,34 +364,6 @@ func (ib *Inbox) noteHighLocked() {
 	}
 	if n > ib.high {
 		ib.high = n
-	}
-}
-
-// evictLocked enforces the per-origin bound, advancing the watermark over
-// whatever committed entries fall off the LRU tail. In version-vector mode
-// eviction is suspended for announcing origins: forgetting an entry the
-// sender has not acknowledged is exactly the residual vectors exist to
-// close, and the acked prefix (ObserveVector) is what releases entries
-// instead — the origin may transiently exceed cap by the sender's
-// unacknowledged window.
-func (ib *Inbox) evictLocked(o *originState) {
-	if ib.vv && (o.frontier > 0 || o.acked > 0) {
-		return
-	}
-	for len(o.entries) > ib.cap {
-		el := o.lru.Back()
-		for el != nil && el.Value.(*entry).pending {
-			el = el.Prev()
-		}
-		if el == nil {
-			return // everything pending; over-cap transiently
-		}
-		e := el.Value.(*entry)
-		o.lru.Remove(el)
-		delete(o.entries, e.id)
-		if e.seq > o.watermark {
-			o.watermark = e.seq
-		}
 	}
 }
 
@@ -489,17 +382,9 @@ func (ib *Inbox) GC(beforeTS int64) {
 			if e.pending || e.ts >= beforeTS {
 				continue
 			}
-			o.lru.Remove(e.elem)
 			delete(o.entries, id)
 			if e.seq > o.gcSeq {
 				o.gcSeq = e.seq
-			}
-		}
-		// Holes at or below the horizon are moot: arrivals there are
-		// refused as Forgotten before the watermark is consulted.
-		for seq := range o.holes {
-			if seq <= o.gcSeq {
-				delete(o.holes, seq)
 			}
 		}
 	}
@@ -526,24 +411,25 @@ type EntryDump struct {
 
 // OriginDump is one origin's persisted dedup memory.
 type OriginDump struct {
-	Origin    string      `json:"origin"`
-	Watermark uint64      `json:"watermark,omitempty"`
-	GCSeq     uint64      `json:"gc_seq,omitempty"`
-	Entries   []EntryDump `json:"entries,omitempty"`
-	// Holes are sequences known never-applied (begun and rolled back);
-	// they survive crash-restart or an evicted Held message's Retry would
-	// be swallowed by the restored watermark.
-	Holes []uint64 `json:"holes,omitempty"`
+	Origin  string      `json:"origin"`
+	GCSeq   uint64      `json:"gc_seq,omitempty"`
+	Entries []EntryDump `json:"entries,omitempty"`
 	// Acked/Frontier persist the sender-announced version vector: the acked
 	// prefix must be exactly as durable as the entry compaction it
 	// justified, or a restored inbox would re-apply a compacted delivery.
 	Acked    uint64 `json:"acked,omitempty"`
 	Frontier uint64 `json:"frontier,omitempty"`
 	MaxSeen  uint64 `json:"max_seen,omitempty"`
+	// Watermark is only ever read: checkpoints written by builds whose
+	// inbox evicted entries past a capacity bound recorded the highest
+	// evicted sequence here. Restore folds it into the GC horizon, so an
+	// arrival at or below it with no entry is refused loudly (Forgotten)
+	// instead of silently re-applied.
+	Watermark uint64 `json:"watermark,omitempty"`
 }
 
 // Dump serializes the inbox for persistence: origins sorted by name,
-// entries oldest-first in LRU order. Entries pending at capture time are
+// entries sorted by (sequence, ID). Entries pending at capture time are
 // dumped as their last committed state (or omitted if never committed) —
 // an apply interrupted by the crash must re-apply after restore.
 func (ib *Inbox) Dump() []OriginDump {
@@ -557,30 +443,24 @@ func (ib *Inbox) Dump() []OriginDump {
 	out := make([]OriginDump, 0, len(names))
 	for _, name := range names {
 		o := ib.origins[name]
-		d := OriginDump{Origin: name, Watermark: o.watermark, GCSeq: o.gcSeq,
+		d := OriginDump{Origin: name, GCSeq: o.gcSeq,
 			Acked: o.acked, Frontier: o.frontier, MaxSeen: o.maxSeen}
-		for el := o.lru.Back(); el != nil; el = el.Prev() {
-			e := el.Value.(*entry)
+		for _, e := range o.entries {
 			switch {
 			case !e.pending:
 				d.Entries = append(d.Entries, EntryDump{ID: e.id, Gen: e.gen, Outcome: e.outcome, TS: e.ts})
 			case e.prevOK:
 				d.Entries = append(d.Entries, EntryDump{ID: e.id, Gen: e.prevGen, Outcome: e.prevOutcome, TS: e.prevTS})
-			case e.seq > 0:
-				// Pending with nothing ever committed: the crash interrupts
-				// the apply, so the restored inbox must re-apply — exactly
-				// what Rollback would have recorded. Without this hole the
-				// restored watermark (advanced by higher-seq evictions) would
-				// swallow the retry as a Duplicate.
-				d.Holes = append(d.Holes, e.seq)
 			}
 		}
-		for seq := range o.holes {
-			d.Holes = append(d.Holes, seq)
-		}
-		sort.Slice(d.Holes, func(i, j int) bool { return d.Holes[i] < d.Holes[j] })
-		if d.Watermark > 0 || d.GCSeq > 0 || len(d.Entries) > 0 || len(d.Holes) > 0 ||
-			d.Acked > 0 || d.Frontier > 0 || d.MaxSeen > 0 {
+		sort.Slice(d.Entries, func(i, j int) bool {
+			a, b := d.Entries[i], d.Entries[j]
+			if sa, sb := Seq(a.ID), Seq(b.ID); sa != sb {
+				return sa < sb
+			}
+			return a.ID < b.ID
+		})
+		if d.GCSeq > 0 || len(d.Entries) > 0 || d.Acked > 0 || d.Frontier > 0 || d.MaxSeen > 0 {
 			out = append(out, d)
 		}
 	}
@@ -597,35 +477,15 @@ func (ib *Inbox) Restore(dump []OriginDump) {
 			o = newOriginState()
 			ib.origins[d.Origin] = o
 		}
-		if d.Watermark > o.watermark {
-			o.watermark = d.Watermark
-		}
-		if d.GCSeq > o.gcSeq {
-			o.gcSeq = d.GCSeq
-		}
-		if d.Acked > o.acked {
-			o.acked = d.Acked
-		}
-		if d.Frontier > o.frontier {
-			o.frontier = d.Frontier
-		}
-		if d.MaxSeen > o.maxSeen {
-			o.maxSeen = d.MaxSeen
-		}
-		for _, seq := range d.Holes {
-			if seq > o.gcSeq {
-				o.holes[seq] = true
-			}
-		}
+		o.gcSeq = max(o.gcSeq, d.GCSeq, d.Watermark)
+		o.acked = max(o.acked, d.Acked)
+		o.frontier = max(o.frontier, d.Frontier)
+		o.maxSeen = max(o.maxSeen, d.MaxSeen)
 		for _, de := range d.Entries {
 			e := &entry{id: de.ID, seq: Seq(de.ID), gen: de.Gen, outcome: de.Outcome, ts: de.TS}
-			e.elem = o.lru.PushFront(e)
 			o.entries[de.ID] = e
-			if e.seq > o.maxSeen {
-				o.maxSeen = e.seq
-			}
+			o.maxSeen = max(o.maxSeen, e.seq)
 		}
 		ib.noteHighLocked()
-		ib.evictLocked(o)
 	}
 }

@@ -82,21 +82,6 @@ type SimConfig struct {
 	// behavior. Hazard-demonstration tests use it to show the stale and
 	// dupcreate profiles genuinely fire their fault.
 	DisableDedup bool
-	// VersionVectors turns on the anti-entropy version-vector layer
-	// (core.Config.VersionVectors): every pump carrier piggybacks the
-	// sender's acknowledged prefix and frontier for its (origin, peer)
-	// pair, the receive-side dedup inbox compacts acknowledged entries and
-	// classifies post-eviction arrivals exactly, and a wholly-lost
-	// delivery is recovered through the gap-NACK / re-offer path instead
-	// of waiting out (or outliving) the backoff schedule. The lostwave
-	// profile sets it; run that profile with it off to watch convergence
-	// genuinely stall.
-	VersionVectors bool
-	// InboxCap bounds the dedup inbox's per-origin entry count
-	// (core.Config.InboxCap; 0 keeps the core default). The anti-entropy
-	// tests shrink it to a handful of entries to prove that acked-prefix
-	// compaction — not LRU headroom — is what keeps exactly-once exact.
-	InboxCap int
 	// LinearScan runs every repair engine with the retained pre-index
 	// full-timeline walk (warp.Config.LinearScan). The index-equivalence
 	// tests run each seed both ways and require identical results.
@@ -495,8 +480,6 @@ func buildSimWorld(cfg SimConfig, faulted bool) *simWorld {
 	ccfg.Backoff = core.Backoff{Base: simBackoffBase, Max: simBackoffMax, Factor: 2}
 	ccfg.Clock = w.clock.Now
 	ccfg.DisableDedupInbox = cfg.DisableDedup
-	ccfg.VersionVectors = cfg.VersionVectors
-	ccfg.InboxCap = cfg.InboxCap
 	ccfg.Engine.LinearScan = cfg.LinearScan
 	if faulted && cfg.Obs {
 		w.obs = obs.New(obs.DefaultRingCap)
@@ -1407,12 +1390,11 @@ var simProfiles = map[string]SimConfig{
 	// structurally useless, because every attempt re-enters the same hole.
 	// Only a carrier stamped Aire-Reoffer lifts the curse, and only the
 	// version-vector layer ever stamps it (a receiver gap NACK, or the
-	// sender's own backoff-horizon escalation), so the profile runs with
-	// VersionVectors on. Run with -novectors to watch convergence
-	// genuinely stall past the backoff horizon.
+	// sender's own backoff-horizon escalation). Run with -novectors
+	// (simnet.FaultPlan.StripVectors) to watch convergence genuinely stall
+	// past the backoff horizon.
 	"lostwave": {Services: 3, Topology: "chain", Repairs: 5, Rerepairs: 3, Creates: 2,
-		VersionVectors: true,
-		Faults:         simnet.FaultPlan{Lost: 0.1, DropResponse: 0.1}},
+		Faults: simnet.FaultPlan{Lost: 0.1, DropResponse: 0.1}},
 	// corrupt: repair-plane bodies arrive with a byte flipped in flight.
 	// The always-on carrier checksum (Aire-Body-Sum) refuses the delivery
 	// loudly (503) instead of applying garbage; the sender backs off and

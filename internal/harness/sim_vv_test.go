@@ -1,8 +1,8 @@
 package harness
 
-// Anti-entropy acceptance tests (ISSUE 9): the version-vector layer's
-// lost-delivery recovery, its exactly-once guarantee under a starved dedup
-// inbox, corruption rejection, and crash-kills landing inside the claim
+// Anti-entropy acceptance tests: the version-vector layer's lost-delivery
+// recovery, its exactly-once guarantee with a dedup inbox bounded by ack
+// compaction alone, corruption rejection, and crash-kills landing inside the claim
 // window. The lostwave profile's curse (simnet.FaultPlan.Lost with
 // LostTicks 0) silently discards a delivery and every one of its retries
 // for the whole run, so backoff-driven redelivery is structurally useless:
@@ -16,35 +16,37 @@ import (
 	"testing"
 )
 
-// lostwaveConfig is the lostwave profile with the vector layer switchable.
-func lostwaveConfig(t *testing.T, seed int64, vectors bool) SimConfig {
+// lostwaveConfig is the lostwave profile, optionally with the fault
+// fabric stripping the vector announcement (simnet.FaultPlan.StripVectors).
+func lostwaveConfig(t *testing.T, seed int64, strip bool) SimConfig {
 	t.Helper()
 	cfg, err := SimProfileConfig("lostwave")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Seed = seed
-	cfg.VersionVectors = vectors
+	cfg.Faults.StripVectors = strip
 	return cfg
 }
 
-// TestLostWaveStallsWithoutVectors is the teeth check: with the vector
-// layer off, the lostwave curse genuinely defeats convergence — the run
-// fails to quiesce within MaxRounds even though every round elapses the
-// full backoff schedule (each idle round advances the virtual clock past
-// Backoff.Max, so ~100 rounds is far beyond the backoff horizon). The
-// identical schedule replays verbatim, and flipping vectors back on makes
-// the same seed converge — proving the recovery is the vector layer's
-// NACK/re-offer path, not luck.
+// TestLostWaveStallsWithoutVectors is the teeth check: with the fabric
+// stripping every vector announcement, NACK and re-offer mark, the
+// lostwave curse genuinely defeats convergence — the run fails to quiesce
+// within MaxRounds even though every round elapses the full backoff
+// schedule (each idle round advances the virtual clock past Backoff.Max,
+// so ~100 rounds is far beyond the backoff horizon). The identical
+// schedule replays verbatim, and turning the strip off makes the same seed
+// converge — proving the recovery is the vector layer's NACK/re-offer
+// path, not luck.
 func TestLostWaveStallsWithoutVectors(t *testing.T) {
 	const seed = 1
-	cfg := lostwaveConfig(t, seed, false)
+	cfg := lostwaveConfig(t, seed, true)
 	res, err := RunSim(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Passed {
-		t.Fatalf("seed %d converged with vectors off; the lostwave curse has lost its teeth", seed)
+		t.Fatalf("seed %d converged with vectors stripped; the lostwave curse has lost its teeth", seed)
 	}
 	stalled := false
 	for _, f := range res.Failures {
@@ -55,7 +57,7 @@ func TestLostWaveStallsWithoutVectors(t *testing.T) {
 	if !stalled {
 		t.Fatalf("seed %d failed, but not by stalling past the backoff horizon: %v", seed, res.Failures)
 	}
-	t.Logf("vectors-off stall demonstrated (replay: go run ./cmd/airesim -profile lostwave -novectors -seeds %d -v): %v", seed, res.Failures[0])
+	t.Logf("vectors-stripped stall demonstrated (replay: go run ./cmd/airesim -profile lostwave -novectors -seeds %d -v): %v", seed, res.Failures[0])
 
 	again, err := RunSim(cfg)
 	if err != nil {
@@ -65,23 +67,23 @@ func TestLostWaveStallsWithoutVectors(t *testing.T) {
 		t.Fatal("failing lostwave schedule did not replay identically")
 	}
 
-	fixed, err := RunSim(lostwaveConfig(t, seed, true))
+	fixed, err := RunSim(lostwaveConfig(t, seed, false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !fixed.Passed {
-		t.Fatalf("seed %d fails even with vectors on: %v", seed, fixed.Failures)
+		t.Fatalf("seed %d fails even with vectors announced: %v", seed, fixed.Failures)
 	}
 	if fixed.Rounds >= res.Rounds {
-		t.Fatalf("vectors-on run quiesced in %d rounds, no better than the stalled run's %d", fixed.Rounds, res.Rounds)
+		t.Fatalf("unstripped run quiesced in %d rounds, no better than the stalled run's %d", fixed.Rounds, res.Rounds)
 	}
 }
 
-// TestLostWaveRecoversEverySeed: vectors-on lostwave converges across the
-// full 20-seed band, serial and scheduled — the wholly-lost delivery is
-// recovered in bounded simulated time on every seed where the vectors-off
-// sweep (see the teeth check above, and `airesim -novectors -expect-fail`)
-// demonstrably stalls.
+// TestLostWaveRecoversEverySeed: lostwave converges across the full
+// 20-seed band, serial and scheduled — the wholly-lost delivery is
+// recovered in bounded simulated time on every seed where the
+// vectors-stripped sweep (see the teeth check above, and
+// `airesim -novectors -expect-fail`) demonstrably stalls.
 func TestLostWaveRecoversEverySeed(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		runSeed(t, "lostwave", seed)
@@ -89,24 +91,21 @@ func TestLostWaveRecoversEverySeed(t *testing.T) {
 	}
 }
 
-// TestTinyInboxExactlyOnce: exactly-once must survive an InboxCap of 4 —
-// a per-origin dedup window far smaller than the delivery traffic — with
-// vectors on, across seeds 1–20 of both the lostwave and crash profiles,
-// serial and scheduled. Acked-prefix compaction is what holds the line:
-// the sender's announcements release entries the peer can never be asked
-// about again, entries for unresolved deliveries are never evicted, and
-// post-eviction arrivals are classified from the vector instead of the
-// watermark heuristic the LRU used to fall back on. The high-water
-// assertion is the memory half of the claim: the inbox never balloons to
-// compensate (announced origins suspend LRU eviction, so without
-// compaction it would).
+// TestTinyInboxExactlyOnce: exactly-once must hold with a dedup inbox
+// that has no capacity bound at all — acked-prefix compaction is the only
+// thing that releases entries — across seeds 1–20 of the lostwave, crash,
+// stale and dupcreate profiles, serial and scheduled. The sender's
+// announcements release entries the peer can never be asked about again,
+// entries for unresolved deliveries are never dropped, and arrivals inside
+// the acked prefix are classified from the vector. The high-water
+// assertion is the memory half of the claim: the inbox never balloons,
+// because outstanding (unacked) deliveries are bounded by in-flight
+// claims, not by run length.
 func TestTinyInboxExactlyOnce(t *testing.T) {
-	const cap = 4
-	// Far below the per-origin delivery counts these profiles generate and
-	// a small multiple of the cap: outstanding (unacked) deliveries are
-	// bounded by in-flight claims, not by run length.
-	const highWaterBound = 3 * cap
-	for _, profile := range []string{"lostwave", "crash"} {
+	// An absolute bound far below the per-origin delivery counts these
+	// profiles generate.
+	const highWaterBound = 12
+	for _, profile := range []string{"lostwave", "crash", "stale", "dupcreate"} {
 		profile := profile
 		t.Run(profile, func(t *testing.T) {
 			for seed := int64(1); seed <= 20; seed++ {
@@ -116,15 +115,13 @@ func TestTinyInboxExactlyOnce(t *testing.T) {
 						t.Fatal(err)
 					}
 					cfg.Seed = seed
-					cfg.VersionVectors = true
-					cfg.InboxCap = cap
 					cfg.ScheduledPump = sched
 					res, err := RunSim(cfg)
 					if err != nil {
 						t.Fatalf("seed %d sched=%v: %v", seed, sched, err)
 					}
 					if !res.Passed {
-						t.Errorf("seed %d sched=%v: exactly-once broke at InboxCap=%d: %v", seed, sched, cap, res.Failures)
+						t.Errorf("seed %d sched=%v: exactly-once broke: %v", seed, sched, res.Failures)
 					}
 					if res.InboxHighWater > highWaterBound {
 						t.Errorf("seed %d sched=%v: inbox high-water %d exceeds %d; compaction is not bounding memory", seed, sched, res.InboxHighWater, highWaterBound)
@@ -148,7 +145,7 @@ func TestTinyInboxExactlyOnce(t *testing.T) {
 func TestKillInsideClaimWindow(t *testing.T) {
 	base := SimConfig{
 		Services: 3, Topology: "chain", Repairs: 5, Rerepairs: 2, Creates: 2,
-		CrashRate: 0.15, ScheduledPump: true, VersionVectors: true,
+		CrashRate: 0.15, ScheduledPump: true,
 		WAL: true, WALFsync: "every", WALPowerLoss: true,
 		killCrashes: true,
 	}
@@ -181,7 +178,7 @@ func TestKillInsideClaimWindow(t *testing.T) {
 	t.Logf("killed %d pump tasks and %d in-claim-window workers across 12 seeds, all converged", pumpKills, workerKills)
 }
 
-// TestVVSchedDigestDeterminism: a vectors-on scheduled run is a pure
+// TestVVSchedDigestDeterminism: a scheduled lostwave run is a pure
 // function of its seed, and the obs registry is digest-neutral over the
 // new instrumentation (gap spans, vv counters) exactly as it is over the
 // old. The obs run must also show the anti-entropy machinery actually
@@ -191,7 +188,7 @@ func TestKillInsideClaimWindow(t *testing.T) {
 func TestVVSchedDigestDeterminism(t *testing.T) {
 	sawNack, sawReoffer, sawCompaction := false, false, false
 	for seed := int64(1); seed <= 10; seed++ {
-		cfg := lostwaveConfig(t, seed, true)
+		cfg := lostwaveConfig(t, seed, false)
 		cfg.ScheduledPump = true
 		r1, err1 := RunSim(cfg)
 		r2, err2 := RunSim(cfg)
@@ -199,7 +196,7 @@ func TestVVSchedDigestDeterminism(t *testing.T) {
 			t.Fatalf("seed %d: %v / %v", seed, err1, err2)
 		}
 		if r1.StateDigest != r2.StateDigest || !reflect.DeepEqual(r1.SchedTrace, r2.SchedTrace) {
-			t.Fatalf("seed %d: vectors-on scheduled run is not deterministic", seed)
+			t.Fatalf("seed %d: scheduled lostwave run is not deterministic", seed)
 		}
 		obsCfg := cfg
 		obsCfg.Obs = true
@@ -208,7 +205,7 @@ func TestVVSchedDigestDeterminism(t *testing.T) {
 			t.Fatalf("seed %d (obs): %v", seed, err)
 		}
 		if ro.StateDigest != r1.StateDigest || ro.SchedSteps != r1.SchedSteps {
-			t.Errorf("seed %d: obs changed the vectors-on digest (%x vs %x) or steps (%d vs %d)",
+			t.Errorf("seed %d: obs changed the lostwave digest (%x vs %x) or steps (%d vs %d)",
 				seed, ro.StateDigest, r1.StateDigest, ro.SchedSteps, r1.SchedSteps)
 		}
 		for name, v := range ro.ObsMetrics.Counters {

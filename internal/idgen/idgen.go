@@ -47,8 +47,9 @@ func (g *Gen) Token() string {
 // Delivery returns the next repair-delivery identifier, e.g.
 // "askbot-dlv-14". The trailing counter is the sender's monotonic delivery
 // sequence; the peer-side dedup inbox (internal/deliver) relies on it to
-// cover evicted entries with a watermark, and on the persisted counter to
-// keep IDs unique across crash-restart.
+// match arrivals against the sender's announced acked prefix and its own
+// GC horizon, and on the persisted counter to keep IDs unique across
+// crash-restart.
 func (g *Gen) Delivery() string {
 	return fmt.Sprintf("%s-dlv-%d", g.prefix, g.next.Add(1))
 }

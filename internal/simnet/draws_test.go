@@ -148,3 +148,61 @@ func TestScheduleInsensitiveToUnfaultableTraffic(t *testing.T) {
 		t.Fatalf("fault schedule shifted under unfaultable traffic:\nnoisy: %v\nquiet: %v", gotFaults, want)
 	}
 }
+
+// TestStripVectorsRemovesAnnouncementWithoutDrawing: the strip switch
+// hides the vector announcement from the receiver and the NACK from the
+// sender, leaves every other header and the caller's own request alone,
+// draws no randomness, and — because the re-offer mark is stripped before
+// the curse check — never lets a retry through a Lost curse.
+func TestStripVectorsRemovesAnnouncementWithoutDrawing(t *testing.T) {
+	bus := transport.NewBus()
+	var seen map[string]string
+	bus.Register("b", transport.HandlerFunc(func(from string, req wire.Request) wire.Response {
+		seen = req.Header
+		resp := wire.NewResponse(200, "ok")
+		resp.Header[wire.HdrNackSeq] = "7"
+		return resp
+	}))
+	n := New(bus, 1, FaultPlan{StripVectors: true})
+	src := &countingSource{src: rand.NewSource(1).(rand.Source64)}
+	n.rng = rand.New(src)
+
+	req := wire.NewRequest("POST", "/aire/repair").WithHeader(
+		wire.HdrDeliveryID, "a-dlv-3", wire.HdrAckedSeq, "2",
+		wire.HdrFrontierSeq, "3", wire.HdrReoffer, "1")
+	resp, err := n.Call("a", "b", req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []string{wire.HdrAckedSeq, wire.HdrFrontierSeq, wire.HdrReoffer} {
+		if _, ok := seen[h]; ok {
+			t.Errorf("receiver saw %s", h)
+		}
+		if _, ok := req.Header[h]; !ok {
+			t.Errorf("caller's request lost %s", h)
+		}
+	}
+	if seen[wire.HdrDeliveryID] != "a-dlv-3" {
+		t.Errorf("delivery ID stripped: %v", seen)
+	}
+	if _, ok := resp.Header[wire.HdrNackSeq]; ok {
+		t.Error("sender saw the NACK")
+	}
+	if src.n != 0 {
+		t.Fatalf("strip consumed %d draws, want 0", src.n)
+	}
+
+	// Curse the delivery, then stop faulting: a re-offer lifts the curse
+	// only when the strip is off.
+	for _, strip := range []bool{false, true} {
+		n = New(bus, 1, FaultPlan{Lost: 1})
+		if _, err := n.Call("a", "b", req); err == nil {
+			t.Fatal("Lost fault delivered the call")
+		}
+		n.plan = FaultPlan{StripVectors: strip}
+		_, err := n.Call("a", "b", req)
+		if passed := err == nil; passed == strip {
+			t.Fatalf("strip=%v: re-offer passed the curse = %v", strip, passed)
+		}
+	}
+}

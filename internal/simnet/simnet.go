@@ -64,9 +64,17 @@ type FaultPlan struct {
 	// get through" from genuine lost-delivery detection.
 	Lost float64
 	// LostTicks bounds a curse's lifetime in Ticks; 0 curses the delivery
-	// for the whole run, which is what the vectors-off teeth check uses to
+	// for the whole run, which is what the StripVectors teeth check uses to
 	// prove convergence stalls without anti-entropy.
 	LostTicks int
+	// StripVectors removes the anti-entropy vector announcement from the
+	// repair plane: wire.HdrAckedSeq, wire.HdrFrontierSeq and
+	// wire.HdrReoffer are deleted from every call before the Lost curse
+	// is checked, and wire.HdrNackSeq from every response. Receivers then
+	// see an origin that never announces, and no re-offer ever lifts a
+	// curse — the teeth check proving that lostwave recovery is the vector
+	// layer's doing. It is not a probability and consumes no rng draw.
+	StripVectors bool
 	// Corrupt delivers the call with one body byte flipped (calls with
 	// empty bodies pass clean). The receive path must detect the damage
 	// via the carrier checksum (wire.HdrBodySum) and refuse it loudly —
@@ -153,6 +161,9 @@ func (n *Net) Call(from, to string, req wire.Request) (wire.Response, error) {
 		n.mu.Unlock()
 		return wire.Response{}, fmt.Errorf("%w: simnet: %s->%s partitioned", transport.ErrUnavailable, from, to)
 	}
+	if n.plan.StripVectors {
+		req.Header = without(req.Header, wire.HdrAckedSeq, wire.HdrFrontierSeq, wire.HdrReoffer)
+	}
 	// The roll happens unconditionally — one draw per repair-plane call,
 	// cursed or not — so a curse changes outcomes without shifting the rng
 	// sequence every later fault decision depends on.
@@ -186,6 +197,15 @@ func (n *Net) Call(from, to string, req wire.Request) (wire.Response, error) {
 	}
 	n.mu.Unlock()
 
+	resp, err := n.deliver(fault, from, to, req)
+	if n.plan.StripVectors {
+		resp.Header = without(resp.Header, wire.HdrNackSeq)
+	}
+	return resp, err
+}
+
+// deliver carries out the fault decided for one repair-plane call.
+func (n *Net) deliver(fault, from, to string, req wire.Request) (wire.Response, error) {
 	switch fault {
 	case FaultDrop, FaultDelay, FaultLost:
 		return wire.Response{}, fmt.Errorf("%w: simnet: %s %s->%s %s", transport.ErrUnavailable, fault, from, to, req.Path)
@@ -214,6 +234,19 @@ func (n *Net) cursedLocked(id string) bool {
 		return false
 	}
 	return true
+}
+
+// without returns a copy of h minus the given keys: the map belongs to
+// whoever built the message, so it is never edited in place.
+func without(h map[string]string, keys ...string) map[string]string {
+	out := make(map[string]string, len(h))
+	for k, v := range h {
+		out[k] = v
+	}
+	for _, k := range keys {
+		delete(out, k)
+	}
+	return out
 }
 
 // corruptBody flips one body byte (position derived from the content, so

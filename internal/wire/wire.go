@@ -62,9 +62,8 @@ import (
 //   - Aire-Acked-Seq announces the sender's highest contiguous acknowledged
 //     delivery sequence for this peer: every delivery it ever stamped for
 //     this peer with a sequence at or below it has reached a terminal
-//     outcome. The receiver may drop its dedup entries for that prefix and
-//     classify any arrival at or below it as a duplicate — exactly, with no
-//     watermark heuristic.
+//     outcome. The receiver drops its dedup entries for that prefix and
+//     classifies any arrival at or below it as a duplicate, exactly.
 //   - Aire-Frontier-Seq announces the highest delivery sequence the sender
 //     has stamped for this peer, letting the receiver notice outstanding
 //     deliveries it has never seen.
